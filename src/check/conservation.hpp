@@ -25,6 +25,12 @@ class ConservationChecker final : public obs::EventSink {
  public:
   ConservationChecker();
 
+  [[nodiscard]] std::uint32_t interests() const override {
+    using obs::EventKind;
+    return obs::event_bit(EventKind::kFork) | obs::event_bit(EventKind::kJoin) |
+           obs::event_bit(EventKind::kSubpacket) |
+           obs::event_bit(EventKind::kArbitration);
+  }
   void on_fork(const obs::ForkEvent& e) override;
   void on_join(const obs::JoinEvent& e) override;
   void on_subpacket(const obs::SubpacketRecord& r) override;

@@ -44,6 +44,9 @@ class LatencyBoundOracle final : public obs::EventSink {
                      std::uint32_t n_requestors, std::uint32_t max_beats,
                      Cycle promote_after = 0);
 
+  [[nodiscard]] std::uint32_t interests() const override {
+    return obs::event_bit(obs::EventKind::kSubpacket);
+  }
   void on_subpacket(const obs::SubpacketRecord& rec) override;
 
   [[nodiscard]] bool ok() const { return log_.ok(); }

@@ -36,6 +36,9 @@ class TimingOracle final : public obs::EventSink {
   /// perturbed) Timing instead of the config-derived one.
   TimingOracle(const sdram::DeviceConfig& cfg, const sdram::Timing& timing);
 
+  [[nodiscard]] std::uint32_t interests() const override {
+    return obs::event_bit(obs::EventKind::kCommand);
+  }
   void on_command(const obs::SdramCommandEvent& e) override;
 
   /// Attach this channel's SDRAM fault timeline (refresh storms, bank

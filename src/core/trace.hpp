@@ -51,6 +51,9 @@ class TraceWriter final : public obs::EventSink {
   /// file is unwritable.
   void record(const obs::SubpacketRecord& r);
 
+  [[nodiscard]] std::uint32_t interests() const override {
+    return obs::event_bit(obs::EventKind::kSubpacket);
+  }
   void on_subpacket(const obs::SubpacketRecord& r) override { record(r); }
   void finish(Cycle end) override {
     (void)end;

@@ -15,7 +15,8 @@ namespace {
 
 /// Conventional router arbitration: rotate over input ports. The port
 /// pointer advances on every grant, so all inputs share the channel
-/// fairly regardless of packet contents.
+/// fairly regardless of packet contents. select() moves that pointer,
+/// so a round never repeats (repeat_until keeps its "never" default).
 class RoundRobinFc final : public FlowController {
  public:
   std::optional<std::size_t> select(const std::vector<Candidate>& candidates,
@@ -64,6 +65,13 @@ class PriorityFirstFc final : public FlowController {
     return best;
   }
 
+  /// Stateless and time-independent: the same candidates always pick
+  /// the same winner.
+  Cycle repeat_until(Cycle now) const override {
+    (void)now;
+    return kNeverCycle;
+  }
+
   FlowControlKind kind() const override {
     return FlowControlKind::kPriorityFirst;
   }
@@ -97,7 +105,19 @@ class SdramAwareFc : public FlowController {
         best = i;
       }
     }
+    // The only time dependence of score() is the starvation cap: the
+    // ranking can change no earlier than the first candidate crosses it.
+    starve_horizon_ = kNeverCycle;
+    for (const Candidate& c : candidates) {
+      const Cycle starves = c.pkt->head_arrival + kStarvationCap + 1;
+      if (starves > now) starve_horizon_ = std::min(starve_horizon_, starves);
+    }
     return best;
+  }
+
+  Cycle repeat_until(Cycle now) const override {
+    (void)now;
+    return starve_horizon_;
   }
 
   void on_scheduled(const Packet& pkt, Cycle now) override {
@@ -131,6 +151,8 @@ class SdramAwareFc : public FlowController {
   static constexpr Cycle kStarvationCap = 512;
   Packet last_{};
   bool has_last_ = false;
+  /// First cycle after the last select() at which a candidate starves.
+  Cycle starve_horizon_ = 0;
 };
 
 /// [4]+PFS.

@@ -113,7 +113,10 @@ std::optional<std::size_t> GssFlowController::select(
       eligible.push_back(i);
     }
   }
-  if (eligible.empty()) return std::nullopt;  // channel idles this round
+  // A priority candidate is never excluded, and with no priority
+  // candidate nobody is, so the channel never idles here.
+  ANNOC_ASSERT_MSG(!eligible.empty(),
+                   "priority-bank exclusion removed every candidate");
 
   // Algorithm 1 lines 14-25 with the retry loop folded in: conceptually
   // we refilter with +1 token per round until someone passes; because
@@ -165,6 +168,7 @@ std::optional<std::size_t> GssFlowController::select(
       return pa.head_arrival < pb.head_arrival;
     };
 
+    bool sti_hit = false;
     for (const std::size_t i : eligible) {
       const Packet& p = *candidates[i].pkt;
       const bool passes = passes_filter(p, p.gss_tokens, now);
@@ -172,15 +176,17 @@ std::optional<std::size_t> GssFlowController::select(
       const bool rowhit = has_last_ && SdramRelation::row_hit(last_, p);
       // STI counter hits are reported once per arbitration (round 0
       // only — later rounds re-examine the same candidates).
-      if (ANNOC_OBS_ENABLED && obs_ != nullptr && round == 0 &&
-          sti_violation(p, now)) {
-        obs_->on_gss_sti_hit(obs::GssStiHitEvent{
-            .at = now,
-            .router = obs_router_,
-            .out_port = obs_port_,
-            .packet_id = p.id,
-            .bank = p.loc.bank,
-            .ready_at = bank_ready_at_[p.loc.bank % kMaxBanks]});
+      if (round == 0 && sti_violation(p, now)) {
+        sti_hit = true;
+        if (ANNOC_OBS_ENABLED && obs_ != nullptr) {
+          obs_->on_gss_sti_hit(obs::GssStiHitEvent{
+              .at = now,
+              .router = obs_router_,
+              .out_port = obs_port_,
+              .packet_id = p.id,
+              .bank = p.loc.bank,
+              .ready_at = bank_ready_at_[p.loc.bank % kMaxBanks]});
+        }
       }
       if (passes && p.is_priority()) {
         if (!best_priority || better_priority(i, *best_priority)) {
@@ -197,6 +203,7 @@ std::optional<std::size_t> GssFlowController::select(
 
     // SP = A ? B ? C (priority ? row-hit ? best-effort).
     pending_via_rowhit_ = false;
+    repeatable_ = round == 0 && !sti_hit;
     if (best_priority) return best_priority;
     if (best_rowhit) {
       pending_via_rowhit_ = true;

@@ -54,6 +54,14 @@ class GssFlowController final : public FlowController {
 
   void on_scheduled(const Packet& pkt, Cycle now) override;
 
+  /// Unbounded when the last select() found its winner in retry round 0
+  /// with no short-turnaround hit: no token was aged and no event
+  /// emitted, and without an STI hit the ladder does not depend on
+  /// `now` (bank_ready_at_ only moves in on_scheduled). Otherwise never.
+  [[nodiscard]] Cycle repeat_until(Cycle now) const override {
+    return repeatable_ ? kNeverCycle : now;
+  }
+
   [[nodiscard]] FlowControlKind kind() const override {
     return sti_ ? FlowControlKind::kGssSti : FlowControlKind::kGss;
   }
@@ -86,6 +94,8 @@ class GssFlowController final : public FlowController {
   /// Whether the most recent select() winner came via the T(0) row-hit
   /// output (consumed by the admit event in on_scheduled()).
   bool pending_via_rowhit_ = false;
+  /// Whether the most recent select() may be replayed (repeat_until).
+  bool repeatable_ = false;
   /// Scratch for select(): indices surviving the priority-bank
   /// exclusion, reused so steady-state arbitration never allocates.
   std::vector<std::size_t> eligible_scratch_;

@@ -70,7 +70,8 @@ class FlowController {
   }
 
   /// Choose the next packet to allocate the channel to, or nullopt to
-  /// leave the channel idle this round (e.g. all candidates excluded).
+  /// leave the channel idle this round. None of the shipped controllers
+  /// declines; the option exists for custom policies.
   /// `waiting` is the full pool (candidates are its subset that are
   /// buffer heads). Must not mutate packets other than token fields.
   [[nodiscard]] virtual std::optional<std::size_t> select(
@@ -82,6 +83,17 @@ class FlowController {
     (void)pkt;
     (void)now;
   }
+
+  /// Replay horizon of the last select(), which ran at `now` (DESIGN.md
+  /// "Refused-round replay"). For every cycle t with now < t < the
+  /// returned cycle, calling select() again at t — with the same
+  /// candidates, the same pool, no packet in it changed, and neither
+  /// on_packet_arrival() nor on_scheduled() run in between — would
+  /// return the same index, change no controller or packet state and
+  /// emit no event. The router then replays a refused round without
+  /// calling select(). Returning `now` (the default) forbids replay;
+  /// kNeverCycle allows it until one of those inputs changes.
+  [[nodiscard]] virtual Cycle repeat_until(Cycle now) const { return now; }
 
   [[nodiscard]] virtual FlowControlKind kind() const = 0;
 

@@ -232,6 +232,9 @@ void Network::tick_router(NodeId id, Cycle now) {
     Transfer& tr = r.output(out);
     if (tr.active) continue;
     if (r.output_pool_empty(out)) continue;  // guaranteed no-op
+    // A memoised refusal repeats verbatim: count it without the scan,
+    // select() and find_vc() (DESIGN.md "Refused-round replay").
+    if (r.replay_refused(out, now)) continue;
     const std::optional<VcId> win = r.arbitrate(out, now);
     if (!win) continue;
 
@@ -276,7 +279,7 @@ void Network::tick_router(NodeId id, Cycle now) {
     Router& down = *routers_[l.nb];
     const auto vc = down.find_vc(l.nb_in, r.head(*win));
     if (!vc) {
-      r.note_blocked(out, obs::StallCause::kDownstreamFull, now);
+      r.note_refused(out, down.flow_buffer(l.nb_in, r.head(*win)), now);
       continue;
     }
     // A degraded link (fault) holds the channel extra cycles per grant.

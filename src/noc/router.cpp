@@ -41,8 +41,9 @@ void Router::set_observer(obs::EventSink* sink) {
 
 std::optional<std::uint32_t> Router::find_vc(Port p,
                                              const Packet& pkt) const {
-  const std::uint32_t v = pkt.src_core % num_vcs_;
-  if (inputs_[p][v].can_accept(pkt.flits)) return v;
+  if (flow_buffer(p, pkt).can_accept(pkt.flits)) {
+    return pkt.src_core % num_vcs_;
+  }
   return std::nullopt;
 }
 
@@ -107,6 +108,9 @@ void Router::on_arrival(Packet&& pkt, Port in, std::uint32_t vc, Port out,
     ANNOC_ASSERT(routed_[in][vc].size() == inputs_[in][vc].size());
     return;
   }
+  // The newcomer may join `out`'s candidates, and the arrival hook may
+  // age the pool's tokens: a memoised refusal there no longer holds.
+  memo_[out].down = nullptr;
   // The arrival hook sees every packet already pooled here, excluding
   // the newcomer — append to the pool only afterwards.
   fc_[out]->on_packet_arrival(pkt, pools_[out], now);
@@ -119,6 +123,7 @@ void Router::on_arrival(Packet&& pkt, Port in, std::uint32_t vc, Port out,
 
 void Router::reroute(const std::function<Port(const Packet&)>& fn) {
   for (auto& pool : pools_) pool.clear();
+  for (RefusalMemo& m : memo_) m.down = nullptr;
   for (int in = 0; in < kNumPorts; ++in) {
     for (std::uint32_t v = 0; v < num_vcs_; ++v) {
       InputBuffer& buf = inputs_[in][v];
@@ -145,6 +150,7 @@ std::optional<VcId> Router::arbitrate(Port out, Cycle now) {
   if (pools_[out].empty()) return std::nullopt;
   cand_scratch_.clear();
   source_scratch_.clear();
+  scan_until_ = kNeverCycle;
   for (int in = 0; in < kNumPorts; ++in) {
     for (std::uint32_t v = 0; v < num_vcs_; ++v) {
       InputBuffer& buf = inputs_[in][v];
@@ -153,7 +159,10 @@ std::optional<VcId> Router::arbitrate(Port out, Cycle now) {
       Packet& hd = buf.front();
       // A head flit is grantable the cycle it lands (pipeline_latency 1
       // = one cycle per hop); extra pipeline stages delay eligibility.
-      if (now + 1 < hd.head_arrival + pipeline_) continue;
+      if (now + 1 < hd.head_arrival + pipeline_) {
+        scan_until_ = std::min(scan_until_, hd.head_arrival + pipeline_ - 1);
+        continue;
+      }
       cand_scratch_.push_back(Candidate{
           &hd, static_cast<std::uint32_t>(in) * num_vcs_ + v});
       source_scratch_.push_back(VcId{static_cast<Port>(in), v});
@@ -176,6 +185,12 @@ std::optional<VcId> Router::arbitrate(Port out, Cycle now) {
   return source_scratch_[*sel];
 }
 
+void Router::note_refused(Port out, const InputBuffer& down, Cycle now) {
+  note_blocked(out, obs::StallCause::kDownstreamFull, now);
+  const Cycle until = std::min(scan_until_, fc_[out]->repeat_until(now));
+  if (until > now + 1) memo_[out] = {&down, down.used_flits(), until};
+}
+
 Packet Router::grant(const VcId& in, Port out, Cycle now,
                      Cycle extra_channel_cycles) {
   InputBuffer& buf = inputs_[in.port][in.vc];
@@ -190,6 +205,12 @@ Packet Router::grant(const VcId& in, Port out, Cycle now,
   pool.erase(pit);
   Packet pkt = buf.pop();
   routed.erase(routed.begin());
+  // The granted output's candidates changed, and so may those of the
+  // output the buffer's new head is routed to.
+  memo_[out].down = nullptr;
+  if (!routed.empty() && routed.front() < kNumPorts) {
+    memo_[routed.front()].down = nullptr;
+  }
 
   fc_[out]->on_scheduled(pkt, now);
 

@@ -149,7 +149,11 @@ struct RouterStats {
   std::uint64_t packets_forwarded = 0;
   std::uint64_t flits_forwarded = 0;
   std::uint64_t arbitration_rounds = 0;
-  std::uint64_t idle_grants = 0;  ///< select() declined (GSS exclusion)
+  /// select() declined, leaving the channel idle. No shipped flow
+  /// controller declines (GSS's priority-bank exclusion always leaves a
+  /// candidate), so this stays 0; kept for custom controllers and the
+  /// benchmark's noc.gss_exclusions.
+  std::uint64_t idle_grants = 0;
   std::uint64_t blocked_on_downstream = 0;
   /// Cycles each output channel was held by a transfer.
   std::array<std::uint64_t, kNumPorts> output_busy{};
@@ -190,6 +194,12 @@ class Router {
   /// scheduling relies on.
   [[nodiscard]] std::optional<std::uint32_t> find_vc(Port p,
                                                      const Packet& pkt) const;
+
+  /// The input buffer of `p` that find_vc() probes for `pkt`.
+  [[nodiscard]] const InputBuffer& flow_buffer(Port p,
+                                               const Packet& pkt) const {
+    return inputs_[p][pkt.src_core % num_vcs_];
+  }
 
   /// Total free flits across the VCs of input `p` (adaptive-routing
   /// congestion signal).
@@ -243,6 +253,37 @@ class Router {
                                                   .cause = cause}));
   }
 
+  /// The winner just arbitrated on mesh output `out` was refused by
+  /// `down`, its downstream input buffer (find_vc() failed). Counts the
+  /// stall like note_blocked(), and memoises the refusal when the round
+  /// can repeat verbatim: the flow controller's repeat_until() allows
+  /// it, and no head skipped by the scan turns pipeline-eligible within
+  /// the next cycle. See DESIGN.md "Refused-round replay".
+  void note_refused(Port out, const InputBuffer& down, Cycle now);
+
+  /// Replay the memoised refused round of `out` at `now`, if the memo
+  /// still holds (now before its horizon, `down` no emptier than at the
+  /// refusal): counts the arbitration round and the kDownstreamFull
+  /// stall exactly as arbitrate() + note_refused() would, and returns
+  /// true. Otherwise drops the memo and returns false. Arrivals routed
+  /// to `out`, grants and reroutes drop memos on their own.
+  [[nodiscard]] bool replay_refused(Port out, Cycle now) {
+    RefusalMemo& m = memo_[out];
+    if (m.down == nullptr) return false;
+    if (now < m.until && m.down->used_flits() >= m.used) {
+      ++stats_.arbitration_rounds;
+      note_blocked(out, obs::StallCause::kDownstreamFull, now);
+      return true;
+    }
+    m.down = nullptr;
+    return false;
+  }
+
+  /// Whether output `out` holds a refusal memo (tests and diagnostics).
+  [[nodiscard]] bool has_refusal_memo(Port out) const {
+    return memo_[out].down != nullptr;
+  }
+
   /// Attach an observer receiving per-channel arbitration/stall events
   /// (and, through the flow controllers, the GSS ladder events).
   void set_observer(obs::EventSink* sink);
@@ -294,6 +335,17 @@ class Router {
   /// allocation on the hot path).
   std::vector<Candidate> cand_scratch_;
   std::vector<VcId> source_scratch_;
+  /// Set by the last arbitrate(): the earliest cycle at which a head
+  /// routed to that output, but not yet pipeline-eligible, joins the
+  /// candidates (kNeverCycle if none waits).
+  Cycle scan_until_ = kNeverCycle;
+  /// A refused round of one output, replayed by replay_refused().
+  struct RefusalMemo {
+    const InputBuffer* down = nullptr;  ///< refusing buffer; null: none
+    std::uint32_t used = 0;             ///< down->used_flits() then
+    Cycle until = 0;                    ///< replay only before this cycle
+  };
+  std::array<RefusalMemo, kNumPorts> memo_{};
   RouterStats stats_;
   obs::EventSink* obs_ = nullptr;
 };

@@ -87,6 +87,9 @@ class TraceRecorder final : public obs::EventSink {
  public:
   explicit TraceRecorder(std::string path) : path_(std::move(path)) {}
 
+  [[nodiscard]] std::uint32_t interests() const override {
+    return obs::event_bit(obs::EventKind::kRequest);
+  }
   void on_request(const obs::RequestEvent& e) override {
     records_.push_back(TraceRecord{e.at, e.core, e.addr, e.rw, e.bytes,
                                    e.priority, 0});

@@ -3,6 +3,7 @@
 /// +PFS variant.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "noc/flow_controller.hpp"
 
 namespace annoc::noc {
@@ -195,6 +196,88 @@ TEST(Factory, MakesEveryKind) {
     EXPECT_EQ(fc->kind(), kind);
   }
 }
+
+/// Counts every event a controller emits.
+class EventCount final : public obs::EventSink {
+ public:
+  void on_gss_admit(const obs::GssAdmitEvent&) override { ++n; }
+  void on_gss_aging(const obs::GssAgingEvent&) override { ++n; }
+  void on_gss_sti_hit(const obs::GssStiHitEvent&) override { ++n; }
+  std::uint64_t n = 0;
+};
+
+class RepeatUntilContract
+    : public ::testing::TestWithParam<FlowControlKind> {};
+
+TEST_P(RepeatUntilContract, RepeatedSelectIsIdenticalAndSideEffectFree) {
+  // Whatever horizon repeat_until() grants, select() re-run inside it on
+  // the same candidates returns the same index, touches no token and
+  // emits nothing — the premise of refused-round replay.
+  GssParams gss;
+  gss.timing = sdram::make_timing(sdram::DdrGeneration::kDdr3, 800.0);
+  auto fc = make_flow_controller(GetParam(), gss);
+  EventCount events;
+  fc->attach_observer(&events, 0, 0);
+  Rng rng(23);
+  Cycle now = 600;
+  std::size_t replayable = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<Packet> pkts(1 + rng.next_below(5));
+    for (Packet& p : pkts) {
+      p = mk(static_cast<BankId>(rng.next_below(3)),
+             static_cast<RowId>(rng.next_below(3)),
+             rng.chance(0.5) ? RW::kRead : RW::kWrite,
+             now - rng.next_below(600),
+             rng.chance(0.3) ? ServiceClass::kPriority
+                             : ServiceClass::kBestEffort);
+      p.gss_tokens = static_cast<std::uint32_t>(1 + rng.next_below(6));
+      p.useful_beats = 8;
+    }
+    auto c = cands(pkts);
+    auto w = pool(pkts);
+    const auto first = fc->select(c, w, now);
+    ASSERT_TRUE(first.has_value());
+    const Cycle until = fc->repeat_until(now);
+    ASSERT_GE(until, now);
+    if (until > now + 1) ++replayable;
+    std::vector<std::uint32_t> tokens;
+    for (const Packet& p : pkts) tokens.push_back(p.gss_tokens);
+    const std::uint64_t emitted = events.n;
+    for (Cycle t = now + 1; t < until && t < now + 700; ++t) {
+      const auto again = fc->select(c, w, t);
+      ASSERT_EQ(again, first) << "trial " << trial << " cycle " << t;
+      for (std::size_t i = 0; i < pkts.size(); ++i) {
+        ASSERT_EQ(pkts[i].gss_tokens, tokens[i]) << "trial " << trial;
+      }
+      ASSERT_EQ(events.n, emitted) << "trial " << trial;
+    }
+    fc->on_scheduled(pkts[*first], now);
+    now += 1 + rng.next_below(40);
+  }
+  if (GetParam() == FlowControlKind::kRoundRobin) {
+    EXPECT_EQ(replayable, 0u) << "round-robin rotates on every select";
+  } else {
+    EXPECT_GT(replayable, 0u) << "the contract should allow some replay";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, RepeatUntilContract,
+    ::testing::Values(FlowControlKind::kRoundRobin,
+                      FlowControlKind::kPriorityFirst,
+                      FlowControlKind::kSdramAware,
+                      FlowControlKind::kSdramAwarePfs, FlowControlKind::kGss,
+                      FlowControlKind::kGssSti),
+    [](const auto& pinfo) {
+      switch (pinfo.param) {
+        case FlowControlKind::kRoundRobin: return "RoundRobin";
+        case FlowControlKind::kPriorityFirst: return "PriorityFirst";
+        case FlowControlKind::kSdramAware: return "SdramAware";
+        case FlowControlKind::kSdramAwarePfs: return "SdramAwarePfs";
+        case FlowControlKind::kGss: return "Gss";
+        default: return "GssSti";
+      }
+    });
 
 }  // namespace
 }  // namespace annoc::noc

@@ -52,46 +52,58 @@ TEST_P(GssProperties, FilterMonotoneInTokens) {
   }
 }
 
-TEST_P(GssProperties, SelectAlwaysReturnsValidIndexOrDeclines) {
+TEST_P(GssProperties, SelectNeverDeclines) {
+  // The priority-bank exclusion only removes best-effort candidates
+  // that share a bank with a priority candidate: a priority candidate
+  // always survives, and without one nobody is excluded. So select()
+  // names a winner for every mix of service classes, including mixes
+  // crowded onto two banks, where exclusion fires most.
+  struct Mix {
+    std::uint32_t banks;
+    double p_priority;
+    int rounds;
+  };
   GssFlowController fc = make();
   Rng rng(17);
   std::vector<Packet> storage(6);
   Cycle now = 10;
-  for (int round = 0; round < 2000; ++round) {
-    const std::size_t n = 1 + rng.next_below(5);
-    std::vector<Candidate> cands;
-    std::vector<Packet*> pool;
-    for (std::size_t i = 0; i < n; ++i) {
-      Packet& p = storage[i];
-      p.loc.bank = static_cast<BankId>(rng.next_below(8));
-      p.loc.row = static_cast<RowId>(rng.next_below(8));
-      p.rw = rng.chance(0.5) ? RW::kRead : RW::kWrite;
-      p.svc = rng.chance(0.2) ? ServiceClass::kPriority
-                              : ServiceClass::kBestEffort;
-      p.gss_tokens = static_cast<std::uint32_t>(1 + rng.next_below(5));
-      p.head_arrival = now - rng.next_below(10);
-      p.flits = static_cast<std::uint32_t>(1 + rng.next_below(16));
-      cands.push_back({&p, static_cast<std::uint32_t>(i)});
-      pool.push_back(&p);
-    }
-    const auto sel = fc.select(cands, pool, now);
-    // A priority candidate is never excluded, and without a priority
-    // candidate nothing is excluded, so selection always succeeds.
-    ASSERT_TRUE(sel.has_value());
-    ASSERT_LT(*sel, n);
-    const Packet& chosen = *cands[*sel].pkt;
-    // A best-effort winner must never share a bank with a priority
-    // candidate (the exclusion invariant, Algorithm 1 line 5).
-    if (!chosen.is_priority()) {
-      for (const auto& c : cands) {
-        if (c.pkt->is_priority()) {
-          EXPECT_NE(c.pkt->loc.bank, chosen.loc.bank)
-              << "excluded best-effort packet was selected";
+  for (const Mix mix : {Mix{8, 0.2, 2000}, Mix{2, 0.0, 500},
+                        Mix{2, 0.25, 500}, Mix{2, 0.5, 500},
+                        Mix{2, 0.75, 500}, Mix{2, 1.0, 500}}) {
+    for (int round = 0; round < mix.rounds; ++round) {
+      const std::size_t n = 1 + rng.next_below(5);
+      std::vector<Candidate> cands;
+      std::vector<Packet*> pool;
+      for (std::size_t i = 0; i < n; ++i) {
+        Packet& p = storage[i];
+        p.loc.bank = static_cast<BankId>(rng.next_below(mix.banks));
+        p.loc.row = static_cast<RowId>(rng.next_below(8));
+        p.rw = rng.chance(0.5) ? RW::kRead : RW::kWrite;
+        p.svc = rng.chance(mix.p_priority) ? ServiceClass::kPriority
+                                           : ServiceClass::kBestEffort;
+        p.gss_tokens = static_cast<std::uint32_t>(1 + rng.next_below(5));
+        p.head_arrival = now - rng.next_below(10);
+        p.flits = static_cast<std::uint32_t>(1 + rng.next_below(16));
+        cands.push_back({&p, static_cast<std::uint32_t>(i)});
+        pool.push_back(&p);
+      }
+      const auto sel = fc.select(cands, pool, now);
+      ASSERT_TRUE(sel.has_value()) << "p_priority " << mix.p_priority;
+      ASSERT_LT(*sel, n);
+      const Packet& chosen = *cands[*sel].pkt;
+      // A best-effort winner must never share a bank with a priority
+      // candidate (the exclusion invariant, Algorithm 1 line 5).
+      if (!chosen.is_priority()) {
+        for (const auto& c : cands) {
+          if (c.pkt->is_priority()) {
+            EXPECT_NE(c.pkt->loc.bank, chosen.loc.bank)
+                << "excluded best-effort packet was selected";
+          }
         }
       }
+      fc.on_scheduled(chosen, now);
+      now += 1 + rng.next_below(8);
     }
-    fc.on_scheduled(chosen, now);
-    now += 1 + rng.next_below(8);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "noc/network.hpp"
 #include "noc/router.hpp"
@@ -273,6 +274,309 @@ TEST(Network, PerRouterKindsApplied) {
   Network net(c, kinds, {});
   EXPECT_EQ(net.router(0).fc_kind(), FlowControlKind::kGssSti);
   EXPECT_EQ(net.router(8).fc_kind(), FlowControlKind::kPriorityFirst);
+}
+
+// --- refused-round replay -------------------------------------------------
+// A winner refused by a full downstream buffer is memoised; while the
+// memo holds, tick_router replays the round (one arbitration round, one
+// kDownstreamFull stall) without scan, select() or find_vc(). These
+// tests pin that the replay is indistinguishable from re-arbitrating.
+
+/// Records every stall event.
+class StallLog final : public obs::EventSink {
+ public:
+  void on_stall(const obs::StallEvent& e) override { stalls.push_back(e); }
+  /// Stalls of one router output, in emission order.
+  [[nodiscard]] std::vector<obs::StallEvent> of(NodeId router,
+                                                Port out) const {
+    std::vector<obs::StallEvent> v;
+    for (const obs::StallEvent& e : stalls) {
+      if (e.router == router && e.out_port == out) v.push_back(e);
+    }
+    return v;
+  }
+  std::vector<obs::StallEvent> stalls;
+};
+
+/// Inject 2-flit packets at `src` (toward `dst`) on cycles [from, to)
+/// whenever the local buffer has room, at most `limit` in total, ticking
+/// the network each cycle. Returns the number injected.
+std::size_t fill(Network& net, NodeId src, NodeId dst, Cycle from, Cycle to,
+                 std::size_t limit, PacketId& id) {
+  std::size_t injected = 0;
+  for (Cycle t = from; t < to; ++t) {
+    if (injected < limit && net.try_inject(mk(src, dst, 2, id), t)) {
+      ++id;
+      ++injected;
+    }
+    net.tick(t);
+  }
+  return injected;
+}
+
+NocConfig line(std::uint32_t width, NodeId mem, std::uint32_t buffer) {
+  NocConfig c;
+  c.width = width;
+  c.height = 1;
+  c.mem_node = mem;
+  c.buffer_flits = buffer;
+  return c;
+}
+
+TEST(RefusalReplay, BlockedStretchCountsOneRoundAndOneStallPerCycle) {
+  // 2x1, memory behind node 0 never accepts: node 0's east buffer
+  // fills, and node 1's west output is refused every cycle after.
+  Network net(line(2, 0, 4), {FlowControlKind::kPriorityFirst}, {});
+  MemSink sink;
+  sink.accept_ = false;
+  net.attach_sink(&sink);
+  StallLog log;
+  net.set_observer(&log);
+  PacketId id = 1;
+  fill(net, 1, 0, 0, 20, 100, id);
+  const Router& r1 = net.router(1);
+  ASSERT_TRUE(r1.has_refusal_memo(kPortWest));
+
+  const RouterStats before = r1.stats();
+  log.stalls.clear();
+  for (Cycle t = 20; t < 40; ++t) {
+    net.tick(t);
+    EXPECT_TRUE(r1.has_refusal_memo(kPortWest)) << "cycle " << t;
+  }
+  EXPECT_EQ(r1.stats().arbitration_rounds - before.arbitration_rounds, 20u);
+  EXPECT_EQ(r1.stats().blocked_on_downstream - before.blocked_on_downstream,
+            20u);
+  EXPECT_EQ(r1.stats().packets_forwarded, before.packets_forwarded);
+  const std::vector<obs::StallEvent> st = log.of(1, kPortWest);
+  ASSERT_EQ(st.size(), 20u);
+  for (std::size_t i = 0; i < st.size(); ++i) {
+    EXPECT_EQ(st[i].at, 20 + i);
+    EXPECT_EQ(st[i].cause, obs::StallCause::kDownstreamFull);
+  }
+}
+
+TEST(RefusalReplay, ArrivalMidStretchAgesTokensAndForcesFreshRound) {
+  Network net(line(2, 0, 8), {FlowControlKind::kGss}, {});
+  MemSink sink;
+  sink.accept_ = false;
+  net.attach_sink(&sink);
+  StallLog log;
+  net.set_observer(&log);
+  PacketId id = 1;
+  // 4 packets fill node 0's east buffer; 3 wait at node 1, leaving room
+  // for one more.
+  ASSERT_EQ(fill(net, 1, 0, 0, 40, 7, id), 7u);
+  Router& r1 = net.router(1);
+  ASSERT_TRUE(r1.has_refusal_memo(kPortWest));
+  const std::uint32_t tokens = r1.head(kPortLocal).gss_tokens;
+  ASSERT_LT(tokens, 5u) << "head already at the GSS token cap";
+  const RouterStats before = r1.stats();
+
+  ASSERT_TRUE(net.try_inject(mk(1, 0, 2, id++), 40));
+  EXPECT_FALSE(r1.has_refusal_memo(kPortWest))
+      << "an arrival routed to the output must drop its memo";
+  EXPECT_EQ(r1.head(kPortLocal).gss_tokens, tokens + 1)
+      << "the arrival ages the waiting head";
+  log.stalls.clear();
+  net.tick(40);
+  // A fresh round ran, was refused again and re-took the memo.
+  EXPECT_TRUE(r1.has_refusal_memo(kPortWest));
+  EXPECT_EQ(r1.stats().arbitration_rounds, before.arbitration_rounds + 1);
+  EXPECT_EQ(r1.stats().blocked_on_downstream,
+            before.blocked_on_downstream + 1);
+  const std::vector<obs::StallEvent> st = log.of(1, kPortWest);
+  ASSERT_EQ(st.size(), 1u);
+  EXPECT_EQ(st[0].at, 40u);
+}
+
+/// One tick_router phase-2 step of mesh output `out`, whose downstream
+/// input buffer is `down` (a stand-in for the neighbour router).
+/// Returns the granted packet, if any.
+std::optional<Packet> step(Router& r, Port out, InputBuffer& down,
+                           Cycle now) {
+  Transfer& tr = r.output(out);
+  if (tr.active && now >= tr.end) tr.active = false;
+  if (tr.active || r.output_pool_empty(out)) return std::nullopt;
+  if (r.replay_refused(out, now)) return std::nullopt;
+  const std::optional<VcId> win = r.arbitrate(out, now);
+  if (!win) return std::nullopt;
+  if (!down.can_accept(r.head(*win).flits)) {
+    r.note_refused(out, down, now);
+    return std::nullopt;
+  }
+  Packet p = r.grant(*win, out, now);
+  down.push(Packet(p));
+  return p;
+}
+
+TEST(RefusalReplay, HeadTurningEligibleMidStretchJoinsNextRound) {
+  // Pipeline 4: a head landing at cycle h is grantable from h + 3.
+  Router r(1, 1, 0, 16, /*pipeline=*/4, FlowControlKind::kPriorityFirst,
+           {});
+  InputBuffer down(8);
+  down.push(mk(9, 9, 6, 100));  // 2 flits free
+  Packet c = mk(1, 0, 4, 1);    // needs 4 free: refused
+  c.head_arrival = 1;
+  c.tail_arrival = 4;
+  r.on_arrival(std::move(c), kPortLocal, 0, kPortWest, 0);
+  Packet x = mk(2, 0, 2, 2);  // priority, needs 2 free: fits
+  x.svc = ServiceClass::kPriority;
+  x.head_arrival = 4;  // eligible from cycle 7
+  x.tail_arrival = 5;
+  r.on_arrival(std::move(x), kPortEast, 0, kPortWest, 3);
+
+  for (Cycle t = 0; t < 7; ++t) {
+    EXPECT_FALSE(step(r, kPortWest, down, t).has_value()) << "cycle " << t;
+    if (t >= 4) {
+      EXPECT_TRUE(r.has_refusal_memo(kPortWest)) << "cycle " << t;
+    }
+  }
+  // Cycles 4..6 refused the lone candidate; at 7 the priority head is
+  // eligible, the memo expires and a fresh round grants it.
+  const std::optional<Packet> g = step(r, kPortWest, down, 7);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->id, 2u);
+  EXPECT_EQ(r.output(kPortWest).start, 7u);
+  EXPECT_EQ(r.stats().arbitration_rounds, 4u);
+  EXPECT_EQ(r.stats().blocked_on_downstream, 3u);
+}
+
+TEST(RefusalReplay, GrantExposingANewHeadDropsThatOutputsMemo) {
+  Router r(1, 1, 0, 16, 1, FlowControlKind::kPriorityFirst, {});
+  InputBuffer down_west(8);
+  down_west.push(mk(9, 9, 6, 100));  // 2 flits free
+  InputBuffer down_north(8);
+  down_north.push(mk(9, 9, 8, 101));  // full
+  Packet c = mk(2, 0, 4, 1);  // west, needs 4 free: refused
+  c.head_arrival = 1;
+  c.tail_arrival = 4;
+  r.on_arrival(std::move(c), kPortEast, 0, kPortWest, 0);
+  Packet h1 = mk(1, 0, 2, 2);  // north: refused while down_north is full
+  h1.head_arrival = 1;
+  h1.tail_arrival = 2;
+  r.on_arrival(std::move(h1), kPortLocal, 0, kPortNorth, 0);
+  Packet h2 = mk(1, 0, 2, 3);  // west, priority, fits; behind h1
+  h2.svc = ServiceClass::kPriority;
+  h2.head_arrival = 1;
+  h2.tail_arrival = 2;
+  r.on_arrival(std::move(h2), kPortLocal, 0, kPortWest, 0);
+
+  // tick_router order: north before west.
+  for (Cycle t = 1; t < 5; ++t) {
+    EXPECT_FALSE(step(r, kPortNorth, down_north, t).has_value());
+    EXPECT_FALSE(step(r, kPortWest, down_west, t).has_value());
+  }
+  ASSERT_TRUE(r.has_refusal_memo(kPortNorth));
+  ASSERT_TRUE(r.has_refusal_memo(kPortWest));
+  (void)down_north.pop();
+  // North grants h1; h2 becomes a head routed west, so west's memo must
+  // go and a fresh round grants the priority packet in the same cycle.
+  const std::optional<Packet> n = step(r, kPortNorth, down_north, 5);
+  ASSERT_TRUE(n.has_value());
+  EXPECT_EQ(n->id, 2u);
+  EXPECT_FALSE(r.has_refusal_memo(kPortWest));
+  const std::optional<Packet> w = step(r, kPortWest, down_west, 5);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->id, 3u);
+}
+
+TEST(RefusalReplay, DownstreamPopGrantsInTheSameCycleAsWithoutReplay) {
+  // The refusing buffer's router ticks BEFORE the refused one (mem at
+  // node 0, traffic from node 1): the pop is visible in the same cycle.
+  {
+    Network net(line(2, 0, 8), {FlowControlKind::kPriorityFirst}, {});
+    MemSink sink;
+    sink.accept_ = false;
+    net.attach_sink(&sink);
+    PacketId id = 1;
+    fill(net, 1, 0, 0, 40, 100, id);
+    ASSERT_TRUE(net.router(1).has_refusal_memo(kPortWest));
+    sink.accept_ = true;
+    net.tick(40);
+    const Transfer& tr = net.router(1).output(kPortWest);
+    EXPECT_TRUE(tr.active);
+    EXPECT_EQ(tr.start, 40u);
+  }
+  // ... and AFTER it (mem at node 1, traffic from node 0): the pop is
+  // seen one cycle later, exactly as a fresh find_vc() would see it.
+  {
+    Network net(line(2, 1, 8), {FlowControlKind::kPriorityFirst}, {});
+    MemSink sink;
+    sink.accept_ = false;
+    net.attach_sink(&sink);
+    StallLog log;
+    net.set_observer(&log);
+    PacketId id = 1;
+    fill(net, 0, 1, 0, 40, 100, id);
+    ASSERT_TRUE(net.router(0).has_refusal_memo(kPortEast));
+    sink.accept_ = true;
+    log.stalls.clear();
+    net.tick(40);
+    EXPECT_FALSE(net.router(0).output(kPortEast).active);
+    ASSERT_EQ(log.of(0, kPortEast).size(), 1u);
+    net.tick(41);
+    const Transfer& tr = net.router(0).output(kPortEast);
+    EXPECT_TRUE(tr.active);
+    EXPECT_EQ(tr.start, 41u);
+  }
+}
+
+TEST(RefusalReplay, DeadLinkRerouteDropsAllMemos) {
+  // 2x2, memory behind node 0 never accepts. Nodes 3 and 2 inject:
+  // node 3's traffic goes west to node 2, then north with node 2's own.
+  // Everything backs up.
+  NocConfig c = cfg3x3();
+  c.width = 2;
+  c.height = 2;
+  c.buffer_flits = 4;
+  Network net(c, {FlowControlKind::kPriorityFirst}, {});
+  MemSink sink;
+  sink.accept_ = false;
+  net.attach_sink(&sink);
+  PacketId id = 1;
+  for (Cycle t = 0; t < 40; ++t) {
+    if (net.try_inject(mk(3, 0, 2, id), t)) ++id;
+    if (net.try_inject(mk(2, 0, 2, id), t)) ++id;
+    net.tick(t);
+  }
+  ASSERT_TRUE(net.router(3).has_refusal_memo(kPortWest));
+  ASSERT_TRUE(net.router(2).has_refusal_memo(kPortNorth));
+  const std::uint64_t fwd3 = net.router(3).stats().packets_forwarded;
+
+  net.set_link_dead(2, 3, true);
+  for (NodeId n = 0; n < 4; ++n) {
+    for (int p = 0; p < kNumPorts; ++p) {
+      EXPECT_FALSE(net.router(n).has_refusal_memo(static_cast<Port>(p)))
+          << "router " << n << " port " << p;
+    }
+  }
+  // Node 3 now routes north through the idle node 1 and moves at once.
+  net.tick(40);
+  EXPECT_TRUE(net.router(3).output(kPortNorth).active);
+  EXPECT_EQ(net.router(3).stats().packets_forwarded, fwd3 + 1);
+  // Node 2's north output is still refused: a fresh round re-took it.
+  EXPECT_TRUE(net.router(2).has_refusal_memo(kPortNorth));
+}
+
+TEST(RefusalReplay, SlowRouterGateIsHonoured) {
+  Network net(line(2, 0, 4), {FlowControlKind::kPriorityFirst}, {});
+  MemSink sink;
+  sink.accept_ = false;
+  net.attach_sink(&sink);
+  StallLog log;
+  net.set_observer(&log);
+  PacketId id = 1;
+  fill(net, 1, 0, 0, 20, 100, id);
+  ASSERT_TRUE(net.router(1).has_refusal_memo(kPortWest));
+  net.set_router_slow(1, 3, 20);
+  const std::uint64_t rounds = net.router(1).stats().arbitration_rounds;
+  log.stalls.clear();
+  for (Cycle t = 20; t < 40; ++t) net.tick(t);
+  // Arbitration (and so replay) only on cycles 20, 23, ..., 38.
+  const std::vector<obs::StallEvent> st = log.of(1, kPortWest);
+  ASSERT_EQ(st.size(), 7u);
+  for (std::size_t i = 0; i < st.size(); ++i) EXPECT_EQ(st[i].at, 20 + 3 * i);
+  EXPECT_EQ(net.router(1).stats().arbitration_rounds, rounds + 7);
 }
 
 }  // namespace
