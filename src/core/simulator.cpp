@@ -22,13 +22,16 @@ namespace {
   return h * 1099511628211ull + v;
 }
 
-[[nodiscard]] std::uint64_t fingerprint(const noc::Router& r) {
+/// `replays` adds that many arbitration rounds and blocked counts: the
+/// fingerprint a router would have after replaying that many refusals.
+[[nodiscard]] std::uint64_t fingerprint(const noc::Router& r,
+                                        std::uint64_t replays = 0) {
   const noc::RouterStats& s = r.stats();
   std::uint64_t h = mix(0, s.packets_forwarded);
   h = mix(h, s.flits_forwarded);
-  h = mix(h, s.arbitration_rounds);
+  h = mix(h, s.arbitration_rounds + replays);
   h = mix(h, s.idle_grants);
-  h = mix(h, s.blocked_on_downstream);
+  h = mix(h, s.blocked_on_downstream + replays);
   h = mix(h, r.buffered_packets());
   for (int p = 0; p < noc::kNumPorts; ++p) {
     const noc::Transfer& t = r.output(static_cast<noc::Port>(p));
@@ -236,6 +239,9 @@ Simulator::Simulator(const SystemConfig& cfg)
   }
   if (cfg.num_vcs > 1) app_.noc.num_vcs = cfg.num_vcs;
   network_ = std::make_unique<noc::Network>(app_.noc, std::move(kinds), gss);
+  // Blocked routers sleep under the skipping schedulers; dense ticks
+  // every router and stays the reference (DESIGN.md "Router sleep").
+  network_->set_sleep(sched_ != SchedMode::kDense);
   node_channel_.assign(network_->num_routers(), kInvalidChannel);
   for (std::uint32_t c = 0; c < num_ctrl; ++c) {
     network_->attach_sink(mems[c], subsystems_[c].get());
@@ -814,8 +820,27 @@ void Simulator::step_audited() {
     const noc::Router& router = network_->router(r);
     const Cycle h = router.next_event(now_);
     const std::uint64_t fp0 = fingerprint(router);
+    // Router sleep: before its wake cycle a router may only replay each
+    // memoised refusal once — what a skipped tick counts lazily.
+    const Cycle wake = network_->wake_of(r);
+    const std::uint64_t asleep =
+        fingerprint(router, router.num_refusal_memos());
     network_->tick_router(r, now_);
-    check("router", r, h, fp0, fingerprint(router));
+    const std::uint64_t fp1 = fingerprint(router);
+    check("router", r, h, fp0, fp1);
+    if (wake > now_ && fp1 != asleep) {
+      std::fprintf(stderr,
+                   "horizon audit: router[%u] changed state at cycle %llu "
+                   "beyond replaying its %u refusal memo(s), but its wake "
+                   "cycle was %llu\n",
+                   static_cast<unsigned>(r),
+                   static_cast<unsigned long long>(now_),
+                   router.num_refusal_memos(),
+                   static_cast<unsigned long long>(wake));
+      ANNOC_ASSERT_MSG(false,
+                       "router wake-cycle violation (see stderr); DESIGN.md "
+                       "\"Router sleep\" lists the wake rules");
+    }
   }
 
   if (response_path_) {
@@ -1086,6 +1111,8 @@ Metrics Simulator::run() {
     }
   }
   drain();
+  // Routers asleep at the end still owe their skipped replays.
+  network_->settle();
   // One finish() for every sink: the counter sink closes open bank
   // intervals, the Perfetto exporter closes its JSON, the CSV trace
   // flushes.

@@ -48,7 +48,10 @@ class Simulator : private noc::NetworkWaker {
   /// metrics of the measurement window (warmup excluded).
   Metrics run();
 
-  /// Step a single cycle (exposed for integration tests).
+  /// Step a single cycle (exposed for integration tests). Under
+  /// fast_forward and event, a sleeping router's replays reach its
+  /// RouterStats only when it next ticks: call network().settle()
+  /// before reading them mid-run (run() does so at its end).
   void step();
 
   /// Fast-forward: if every component reports its next event strictly

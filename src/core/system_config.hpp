@@ -219,6 +219,8 @@ struct SystemConfig {
   /// source. Costs a few percent; meant for tests and triage runs, not
   /// measurement. Applies to dense and fast_forward stepping (event
   /// mode *consumes* horizons; auditing needs the dense reference).
+  /// Audited stepping ticks every router and also audits each router's
+  /// sleep wake cycle (DESIGN.md "Router sleep").
   bool audit_horizons = false;
 
   /// Memory-controller arbiter engine. Unset keeps the design point's

@@ -48,12 +48,12 @@ void GssFlowController::on_packet_arrival(Packet& pkt,
       ++aged;
     }
   }
-  if (ANNOC_OBS_ENABLED && obs_ != nullptr && aged > 0) {
-    obs_->on_gss_aging(obs::GssAgingEvent{.at = now,
-                                          .router = obs_router_,
-                                          .out_port = obs_port_,
-                                          .packets_aged = aged,
-                                          .retry_round = false});
+  if (ANNOC_OBS_ENABLED && aging_obs_ != nullptr && aged > 0) {
+    aging_obs_->on_gss_aging(obs::GssAgingEvent{.at = now,
+                                                .router = obs_router_,
+                                                .out_port = obs_port_,
+                                                .packets_aged = aged,
+                                                .retry_round = false});
   }
   // Lines 8-12: initial tokens by service class.
   pkt.gss_tokens = pkt.is_priority() ? params_.pct : 1u;
@@ -178,8 +178,8 @@ std::optional<std::size_t> GssFlowController::select(
       // only — later rounds re-examine the same candidates).
       if (round == 0 && sti_violation(p, now)) {
         sti_hit = true;
-        if (ANNOC_OBS_ENABLED && obs_ != nullptr) {
-          obs_->on_gss_sti_hit(obs::GssStiHitEvent{
+        if (ANNOC_OBS_ENABLED && sti_obs_ != nullptr) {
+          sti_obs_->on_gss_sti_hit(obs::GssStiHitEvent{
               .at = now,
               .router = obs_router_,
               .out_port = obs_port_,
@@ -221,12 +221,12 @@ std::optional<std::size_t> GssFlowController::select(
         ++aged;
       }
     }
-    if (ANNOC_OBS_ENABLED && obs_ != nullptr) {
-      obs_->on_gss_aging(obs::GssAgingEvent{.at = now,
-                                            .router = obs_router_,
-                                            .out_port = obs_port_,
-                                            .packets_aged = aged,
-                                            .retry_round = true});
+    if (ANNOC_OBS_ENABLED && aging_obs_ != nullptr) {
+      aging_obs_->on_gss_aging(obs::GssAgingEvent{.at = now,
+                                                  .router = obs_router_,
+                                                  .out_port = obs_port_,
+                                                  .packets_aged = aged,
+                                                  .retry_round = true});
     }
   }
   // Unreachable: the top filter level admits everything.
@@ -239,7 +239,7 @@ void GssFlowController::on_scheduled(const Packet& pkt, Cycle now) {
   // still be vetoed by a full downstream buffer, and the ladder-level
   // occupancy should count what was actually scheduled.
   ANNOC_OBS_EMIT(
-      obs_, on_gss_admit(obs::GssAdmitEvent{
+      admit_obs_, on_gss_admit(obs::GssAdmitEvent{
                 .at = now,
                 .router = obs_router_,
                 .out_port = obs_port_,

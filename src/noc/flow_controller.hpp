@@ -99,16 +99,22 @@ class FlowController {
 
   /// Attach the observability sink; `router`/`port` identify this
   /// controller's output channel in the emitted events. nullptr (the
-  /// default) keeps the zero-overhead off state.
+  /// default) keeps the zero-overhead off state. The sink's interests
+  /// are read here: attach again after they change.
   void attach_observer(obs::EventSink* sink, std::uint32_t router,
                        std::uint8_t port) {
-    obs_ = sink;
+    admit_obs_ = obs::wants(sink, obs::EventKind::kGssAdmit);
+    aging_obs_ = obs::wants(sink, obs::EventKind::kGssAging);
+    sti_obs_ = obs::wants(sink, obs::EventKind::kGssStiHit);
     obs_router_ = router;
     obs_port_ = port;
   }
 
  protected:
-  obs::EventSink* obs_ = nullptr;
+  /// Per-kind observers: null when no attached sink takes the kind.
+  obs::EventSink* admit_obs_ = nullptr;
+  obs::EventSink* aging_obs_ = nullptr;
+  obs::EventSink* sti_obs_ = nullptr;
   std::uint32_t obs_router_ = 0;
   std::uint8_t obs_port_ = 0;
 };

@@ -56,6 +56,8 @@ Network::Network(const NocConfig& cfg, std::vector<FlowControlKind> fc_kinds,
   link_penalty_.assign(n, {});
   slow_period_.assign(n, 0);
   slow_anchor_.assign(n, 0);
+  wake_.assign(n, 0);
+  settled_.assign(n, 0);
   if (topo) {
     const TopologyPorts ports = assign_ports(*cfg_.topology);
     for (NodeId id = 0; id < n; ++id) {
@@ -192,10 +194,7 @@ bool Network::try_inject(Packet&& pkt, Cycle now) {
   pkt.tail_arrival = now + pkt.flits;
   stats_.injected_packets += 1;
   stats_.injected_flits += pkt.flits;
-  const Port out = route(src, pkt.dst_node, pkt.to_memory);
-  r.on_arrival(std::move(pkt), kPortLocal, *vc, out, now);
-  // The injecting router has a new head landing at now + 1.
-  if (waker_ != nullptr) waker_->wake_router(src, now + 1);
+  deliver(std::move(pkt), src, kPortLocal, *vc, now);
   return true;
 }
 
@@ -203,7 +202,19 @@ void Network::deliver(Packet&& pkt, NodeId to, Port in_port,
                       std::uint32_t vc, Cycle now) {
   Router& r = *routers_[to];
   const Port out = route(to, pkt.dst_node, pkt.to_memory);
+  // Router sleep: an arrival that drops a memo forces a fresh round at
+  // the router's next turn, so count the replays it skipped first. A
+  // new head is due when it turns pipeline-eligible. A packet behind
+  // another head changes nothing before an arbitration already due.
+  const bool drops_memo = out < kNumPorts && r.has_refusal_memo(out);
+  if (drops_memo) settle(to, turn_end(to));
   r.on_arrival(std::move(pkt), in_port, vc, out, now);
+  if (drops_memo) {
+    wake(to, now);
+  } else if (r.input(in_port, vc).size() == 1) {
+    wake(to, r.head_due(VcId{in_port, vc}));
+  }
+  // The receiving router has a new head landing at now + 1.
   if (waker_ != nullptr) waker_->wake_router(to, now + 1);
 }
 
@@ -215,6 +226,11 @@ static constexpr Port kOrder[kNumPorts] = {kPortMem,  kPortNorth, kPortEast,
 
 void Network::tick_router(NodeId id, Cycle now) {
   Router& r = *routers_[id];
+  // Count the replays skipped while asleep; this tick counts its own.
+  settle(id, now);
+  settled_[id] = now + 1;
+  turn_cycle_ = now;
+  turn_id_ = id;
   // Phase 1: free this router's channels whose transfer has completed.
   for (int p = 0; p < kNumPorts; ++p) {
     Transfer& t = r.output(static_cast<Port>(p));
@@ -223,20 +239,52 @@ void Network::tick_router(NodeId id, Cycle now) {
 
   // Slow-router fault: arbitration only on anchor-aligned cycles. The
   // gate lives here (not in the caller) so dense, fast-forward and
-  // event scheduling all skip the same cycles.
+  // event scheduling all skip the same cycles. A slow router never
+  // sleeps: skipped replays would have to skip its idle cycles too.
+  const Cycle next = now + 1;
   const std::uint32_t period = slow_period_[id];
-  if (period > 1 && (now - slow_anchor_[id]) % period != 0) return;
+  if (period > 1) {
+    wake_[id] = next;
+    if ((now - slow_anchor_[id]) % period != 0) return;
+  }
 
-  // Phase 2: arbitrate every free output.
+  // Phase 2: arbitrate every free output, folding into `wake_at` the
+  // first cycle each output can change (DESIGN.md "Router sleep").
+  Cycle wake_at = period > 1 ? next : kNeverCycle;
+  // A memoised output sleeps to its horizon unless a sink counts stalls.
+  // `on_memo` marks the outputs that sleep on their memo: a later grant
+  // in this tick can still drop one (see below).
+  std::uint32_t on_memo = 0;
+  const auto memo_wake = [&](Port out) {
+    on_memo |= 1u << out;
+    return r.emits_stalls() ? next : r.refusal_until(out);
+  };
+  // A grant on `out` popped input `in`: the output frees when its
+  // transfer ends, the input's feeder may move, and a new head there
+  // lost its output's memo and needs a fresh round once it is due.
+  const auto granted = [&](Port out, const VcId& in) {
+    wake_at = std::min({wake_at, r.output(out).end,
+                        std::max(next, r.head_due(in))});
+    wake_feeder(id, in.port, now);
+  };
   for (const Port out : kOrder) {
     Transfer& tr = r.output(out);
-    if (tr.active) continue;
+    if (tr.active) {
+      wake_at = std::min(wake_at, tr.end);
+      continue;
+    }
     if (r.output_pool_empty(out)) continue;  // guaranteed no-op
     // A memoised refusal repeats verbatim: count it without the scan,
     // select() and find_vc() (DESIGN.md "Refused-round replay").
-    if (r.replay_refused(out, now)) continue;
+    if (r.replay_refused(out, now)) {
+      wake_at = std::min(wake_at, memo_wake(out));
+      continue;
+    }
     const std::optional<VcId> win = r.arbitrate(out, now);
-    if (!win) continue;
+    if (!win) {
+      wake_at = std::min(wake_at, r.scan_until());
+      continue;
+    }
 
     if (out == kPortMem) {
       ANNOC_ASSERT_MSG(is_mem_[r.id()],
@@ -245,9 +293,11 @@ void Network::tick_router(NodeId id, Cycle now) {
       ANNOC_ASSERT(sink != nullptr);
       if (!sink->can_accept(r.head(*win))) {
         r.note_blocked(out, obs::StallCause::kSinkBusy, now);
+        wake_at = next;
         continue;
       }
       Packet pkt = r.grant(*win, out, now);
+      granted(out, *win);
       pkt.mem_arrival = pkt.tail_arrival;  // tail lands when channel frees
       stats_.ejected_packets += 1;
       stats_.ejected_flits += pkt.flits;
@@ -263,6 +313,7 @@ void Network::tick_router(NodeId id, Cycle now) {
       ANNOC_ASSERT_MSG(local_sink_ != nullptr,
                        "core-bound packet without a local sink");
       Packet pkt = r.grant(*win, out, now);
+      granted(out, *win);
       const Cycle done = pkt.tail_arrival;
       stats_.ejected_packets += 1;
       stats_.ejected_flits += pkt.flits;
@@ -280,11 +331,34 @@ void Network::tick_router(NodeId id, Cycle now) {
     const auto vc = down.find_vc(l.nb_in, r.head(*win));
     if (!vc) {
       r.note_refused(out, down.flow_buffer(l.nb_in, r.head(*win)), now);
+      wake_at = std::min(wake_at,
+                         r.has_refusal_memo(out) ? memo_wake(out) : next);
       continue;
     }
     // A degraded link (fault) holds the channel extra cycles per grant.
     Packet pkt = r.grant(*win, out, now, link_penalty_[id][out]);
+    granted(out, *win);
     deliver(std::move(pkt), l.nb, l.nb_in, *vc, now);
+  }
+  // A grant drops the memo of the output its buffer's new head routes
+  // to. If that output came earlier in kOrder, its replay this cycle was
+  // the last: the next cycle runs a fresh round there.
+  for (int p = 0; p < kNumPorts; ++p) {
+    const auto out = static_cast<Port>(p);
+    if (((on_memo >> p) & 1u) != 0 && !r.has_refusal_memo(out)) {
+      wake_at = next;
+    }
+  }
+  wake_[id] = wake_at;
+}
+
+void Network::wake_feeder(NodeId id, Port in, Cycle now) {
+  // Only the router across a mesh link fills that input. Its output
+  // toward us waits on this buffer only through a refusal memo: without
+  // one it is busy, has no eligible head, or is already due next cycle.
+  const Link& l = links_[id][in];
+  if (l.nb != kInvalidNode && routers_[l.nb]->has_refusal_memo(l.nb_in)) {
+    wake(l.nb, now);
   }
 }
 
@@ -294,7 +368,13 @@ void Network::tick(Cycle now) {
   // never reads another router's Transfer state (see tick_router's doc
   // comment), so whether router j > i frees its channels before or
   // after router i arbitrates is unobservable to i.
-  for (NodeId id = 0; id < routers_.size(); ++id) tick_router(id, now);
+  const auto n = static_cast<NodeId>(routers_.size());
+  for (NodeId id = 0; id < n; ++id) {
+    if (sleep_ && wake_[id] > now) continue;
+    tick_router(id, now);
+  }
+  turn_cycle_ = now;
+  turn_id_ = n;
 }
 
 std::vector<std::pair<NodeId, NodeId>> Network::link_list() const {
@@ -374,6 +454,7 @@ void Network::set_link_dead(NodeId a, NodeId b, bool dead) {
   const Port ba = port_toward(b, a);
   const std::uint8_t v = dead ? 1 : 0;
   if (link_dead_[a][ab] == v) return;  // idempotent
+  wake_all();
   link_dead_[a][ab] = v;
   link_dead_[b][ba] = v;
   num_dead_links_ += dead ? 1u : -1u;
@@ -382,6 +463,7 @@ void Network::set_link_dead(NodeId a, NodeId b, bool dead) {
 }
 
 void Network::set_link_penalty(NodeId a, NodeId b, std::uint32_t penalty) {
+  wake_all();
   link_penalty_[a][port_toward(a, b)] = penalty;
   link_penalty_[b][port_toward(b, a)] = penalty;
 }
@@ -389,6 +471,7 @@ void Network::set_link_penalty(NodeId a, NodeId b, std::uint32_t penalty) {
 void Network::set_router_slow(NodeId router, std::uint32_t period,
                               Cycle anchor) {
   ANNOC_ASSERT(router < routers_.size());
+  wake_all();
   slow_period_[router] = period;
   slow_anchor_[router] = anchor;
 }

@@ -135,9 +135,33 @@ class Network {
   void set_waker(NetworkWaker* waker) { waker_ = waker; }
 
   /// Attach an observer to every router (arbitration, stall and GSS
-  /// ladder events). nullptr detaches.
+  /// ladder events). nullptr detaches. Call again after the sink's
+  /// interests change: routers cache them. Settles and wakes every
+  /// router, since whether stalls are observed decides who may sleep.
   void set_observer(obs::EventSink* sink) {
+    wake_all();
     for (auto& r : routers_) r->set_observer(sink);
+  }
+
+  /// Router sleep (DESIGN.md "Router sleep"): when on, tick() skips a
+  /// router until its wake cycle. The simulator turns it on for the
+  /// fast_forward and event schedulers; sched = dense ticks every router
+  /// and is the reference. Off by default.
+  void set_sleep(bool on) { sleep_ = on; }
+
+  /// The first cycle router `id` can change otherwise than by replaying
+  /// its refusal memos: tick() skips it before then when sleep is on.
+  [[nodiscard]] Cycle wake_of(NodeId id) const {
+    ANNOC_ASSERT(id < wake_.size());
+    return wake_[id];
+  }
+
+  /// Count the replays every router skipped while asleep, through the
+  /// last cycle whose turn it has had, into its RouterStats. The
+  /// simulator calls it at the end of a run; a router's own tick and an
+  /// arrival that drops one of its memos settle it too.
+  void settle() {
+    for (NodeId id = 0; id < routers_.size(); ++id) settle(id, turn_end(id));
   }
 
   /// Receiver for packets ejected at a node's local port (core-bound
@@ -151,13 +175,16 @@ class Network {
   [[nodiscard]] bool try_inject(Packet&& pkt, Cycle now);
 
   /// Advance one cycle: free completed channels, then arbitrate and
-  /// grant on every free output.
+  /// grant on every free output — of every router, or with sleep on, of
+  /// every router whose wake cycle has come.
   void tick(Cycle now);
 
   /// Advance ONE router one cycle: free its completed transfers, then
-  /// arbitrate its free outputs. tick() is exactly tick_router over all
-  /// routers in id order; the event-driven scheduler calls it for just
-  /// the routers whose deadline arrived. Per-router ticking is
+  /// arbitrate its free outputs, then recompute its wake cycle. Dense
+  /// tick() is exactly tick_router over all routers in id order; the
+  /// event-driven scheduler calls it for just the routers whose
+  /// deadline arrived, and a sleeping tick() for those whose wake cycle
+  /// came (DESIGN.md "Router sleep"). Per-router ticking is
   /// dense-equivalent because a router's arbitration phase reads only
   /// its own transfers, its own and downstream input buffers, and the
   /// sink — never another router's Transfer state — so freeing each
@@ -268,6 +295,34 @@ class Network {
   /// Re-run route() for every buffered packet in every router.
   void reroute_all();
 
+  /// Count router `id`'s skipped replays of cycles before `upto`. A
+  /// slow router never sleeps, so it owes none: the only cycles it
+  /// misses are those fast-forward jumps over, where its gate is closed.
+  void settle(NodeId id, Cycle upto) {
+    if (upto <= settled_[id]) return;
+    if (slow_period_[id] <= 1) {
+      routers_[id]->count_skipped_replays(upto - settled_[id]);
+    }
+    settled_[id] = upto;
+  }
+  /// First cycle whose turn router `id` has not had yet: the turn of
+  /// router i at cycle t comes after those of every router j < i at t.
+  [[nodiscard]] Cycle turn_end(NodeId id) const {
+    return id < turn_id_ ? turn_cycle_ + 1 : turn_cycle_;
+  }
+  /// Settle every router and make each tick at its next turn (fault
+  /// edges: a reroute drops memos, a slow router changes cadence).
+  void wake_all() {
+    settle();
+    std::fill(wake_.begin(), wake_.end(), Cycle{0});
+  }
+  /// Router `id` may change at cycle `at`: tick it at its first turn
+  /// from then on.
+  void wake(NodeId id, Cycle at) { wake_[id] = std::min(wake_[id], at); }
+  /// Router `id` popped input `in` at `now`: wake the router feeding
+  /// it if a refusal memo there waits on that input.
+  void wake_feeder(NodeId id, Port in, Cycle now);
+
   /// One mesh link as seen from a router output: the neighbour node and
   /// the input port facing back. `nb == kInvalidNode` for ports that
   /// leave the mesh (local, mem, or off-grid edges).
@@ -294,6 +349,17 @@ class Network {
   NetworkWaker* waker_ = nullptr;
   LocalSink local_sink_;
   NetworkStats stats_;
+
+  // Router sleep (DESIGN.md "Router sleep"). wake_[id]: tick() may skip
+  // router id before this cycle. settled_[id]: its replays of cycles
+  // before this one are counted. (turn_cycle_, turn_id_): the router
+  // turn running or last run — every turn up to and excluding router
+  // turn_id_'s at turn_cycle_ has passed.
+  bool sleep_ = false;
+  std::vector<Cycle> wake_;
+  std::vector<Cycle> settled_;
+  Cycle turn_cycle_ = 0;
+  NodeId turn_id_ = 0;
 
   // Fault-injection state (src/fault/). All zero/empty on a healthy
   // fabric; the per-port arrays are tiny (n * kNumPorts) and always

@@ -33,7 +33,8 @@ Router::Router(NodeId id, std::uint32_t x, std::uint32_t y,
 }
 
 void Router::set_observer(obs::EventSink* sink) {
-  obs_ = sink;
+  stall_obs_ = obs::wants(sink, obs::EventKind::kStall);
+  arb_obs_ = obs::wants(sink, obs::EventKind::kArbitration);
   for (int p = 0; p < kNumPorts; ++p) {
     fc_[p]->attach_observer(sink, id_, static_cast<std::uint8_t>(p));
   }
@@ -175,7 +176,8 @@ std::optional<VcId> Router::arbitrate(Port out, Cycle now) {
       fc_[out]->select(cand_scratch_, pools_[out], now);
   if (!sel) {
     ++stats_.idle_grants;
-    ANNOC_OBS_EMIT(obs_, on_stall(obs::StallEvent{
+    scan_until_ = now + 1;
+    ANNOC_OBS_EMIT(stall_obs_, on_stall(obs::StallEvent{
                              .at = now,
                              .router = id_,
                              .out_port = out,
@@ -228,7 +230,7 @@ Packet Router::grant(const VcId& in, Port out, Cycle now,
   ++stats_.packets_forwarded;
   stats_.flits_forwarded += pkt.flits;
   stats_.output_busy[out] += tr.end - tr.start;
-  ANNOC_OBS_EMIT(obs_, on_arbitration(obs::ArbitrationEvent{
+  ANNOC_OBS_EMIT(arb_obs_, on_arbitration(obs::ArbitrationEvent{
                            .at = now,
                            .router = id_,
                            .out_port = out,

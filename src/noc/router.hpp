@@ -224,6 +224,19 @@ class Router {
     return head(id.port, id.vc);
   }
 
+  /// The first cycle the head of input `in` can compete for its output
+  /// once that output is free: its pipeline-eligibility cycle.
+  /// kNeverCycle when the buffer is empty, the head is parked, or its
+  /// output is busy (the transfer's end comes first).
+  [[nodiscard]] Cycle head_due(const VcId& in) const {
+    const std::vector<Port>& routed = routed_[in.port][in.vc];
+    if (routed.empty() || routed.front() >= kNumPorts ||
+        outputs_[routed.front()].active) {
+      return kNeverCycle;
+    }
+    return inputs_[in.port][in.vc].front().head_arrival + pipeline_ - 1;
+  }
+
   /// Pop the winner, mark it h(n) in `out`'s flow controller, occupy
   /// the channel, and return the packet (stamped with downstream
   /// head/tail arrival cycles). `extra_channel_cycles` lengthens the
@@ -247,10 +260,10 @@ class Router {
   /// memory sink).
   void note_blocked(Port out, obs::StallCause cause, Cycle now) {
     ++stats_.blocked_on_downstream;
-    ANNOC_OBS_EMIT(obs_, on_stall(obs::StallEvent{.at = now,
-                                                  .router = id_,
-                                                  .out_port = out,
-                                                  .cause = cause}));
+    ANNOC_OBS_EMIT(stall_obs_, on_stall(obs::StallEvent{.at = now,
+                                                        .router = id_,
+                                                        .out_port = out,
+                                                        .cause = cause}));
   }
 
   /// The winner just arbitrated on mesh output `out` was refused by
@@ -279,14 +292,51 @@ class Router {
     return false;
   }
 
-  /// Whether output `out` holds a refusal memo (tests and diagnostics).
+  /// Whether output `out` holds a refusal memo.
   [[nodiscard]] bool has_refusal_memo(Port out) const {
     return memo_[out].down != nullptr;
   }
+  /// Outputs holding a refusal memo.
+  [[nodiscard]] std::uint32_t num_refusal_memos() const {
+    std::uint32_t n = 0;
+    for (const RefusalMemo& m : memo_) n += m.down != nullptr ? 1 : 0;
+    return n;
+  }
+  /// The cycle output `out`'s memo expires (it must hold one).
+  [[nodiscard]] Cycle refusal_until(Port out) const {
+    ANNOC_ASSERT(memo_[out].down != nullptr);
+    return memo_[out].until;
+  }
+
+  /// Count `cycles` skipped replays of every memoised output at once:
+  /// one arbitration round and one blocked count each per cycle, which
+  /// is what replay_refused() counts on a cycle the router was not
+  /// ticked (DESIGN.md "Router sleep"). Emits no stall event: a router
+  /// whose stalls are observed never skips a replay.
+  void count_skipped_replays(Cycle cycles) {
+    for (const RefusalMemo& m : memo_) {
+      if (m.down == nullptr) continue;
+      stats_.arbitration_rounds += cycles;
+      stats_.blocked_on_downstream += cycles;
+    }
+  }
 
   /// Attach an observer receiving per-channel arbitration/stall events
-  /// (and, through the flow controllers, the GSS ladder events).
+  /// (and, through the flow controllers, the GSS ladder events). The
+  /// sink's interests are read here: attach again after they change.
   void set_observer(obs::EventSink* sink);
+
+  /// Some attached sink consumes stall events: every refused round must
+  /// then run (or replay) on its own cycle.
+  [[nodiscard]] bool emits_stalls() const {
+    return ANNOC_OBS_ENABLED && stall_obs_ != nullptr;
+  }
+
+  /// After arbitrate() returned no winner for an output: the earliest
+  /// cycle a round there can come out differently with nothing else
+  /// changing — a scan-skipped head turning pipeline-eligible, now + 1
+  /// after a declined select(), kNeverCycle when no head waits.
+  [[nodiscard]] Cycle scan_until() const { return scan_until_; }
 
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
   [[nodiscard]] std::uint32_t pipeline_latency() const { return pipeline_; }
@@ -337,7 +387,8 @@ class Router {
   std::vector<VcId> source_scratch_;
   /// Set by the last arbitrate(): the earliest cycle at which a head
   /// routed to that output, but not yet pipeline-eligible, joins the
-  /// candidates (kNeverCycle if none waits).
+  /// candidates (kNeverCycle if none waits); now + 1 when select()
+  /// declined.
   Cycle scan_until_ = kNeverCycle;
   /// A refused round of one output, replayed by replay_refused().
   struct RefusalMemo {
@@ -347,7 +398,9 @@ class Router {
   };
   std::array<RefusalMemo, kNumPorts> memo_{};
   RouterStats stats_;
-  obs::EventSink* obs_ = nullptr;
+  /// Per-kind observers: null when no attached sink takes the kind.
+  obs::EventSink* stall_obs_ = nullptr;
+  obs::EventSink* arb_obs_ = nullptr;
 };
 
 }  // namespace annoc::noc

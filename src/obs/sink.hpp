@@ -84,6 +84,14 @@ class EventSink {
   virtual void finish(Cycle end) { (void)end; }
 };
 
+/// `sink` if it consumes kind `k`, else nullptr. Emitters cache this
+/// per kind when a sink is attached, so a kind nobody takes costs the
+/// same single null check as no observer at all.
+[[nodiscard]] inline EventSink* wants(EventSink* sink, EventKind k) {
+  return sink != nullptr && (sink->interests() & event_bit(k)) != 0 ? sink
+                                                                     : nullptr;
+}
+
 /// Fans every event out to the sinks interested in its kind, in
 /// attachment order. The simulator hands components a single
 /// EventSink*; attaching the hub makes the CSV tracer, the counter sink,
@@ -96,11 +104,15 @@ class EventHub final : public EventSink {
     if (sink == nullptr) return;
     sinks_.push_back(sink);
     const std::uint32_t mask = sink->interests();
+    mask_ |= mask;
     for (std::size_t k = 0; k < kNumEventKinds; ++k) {
       if ((mask >> k) & 1u) by_kind_[k].push_back(sink);
     }
   }
   [[nodiscard]] std::size_t num_sinks() const { return sinks_.size(); }
+  /// The union of the attached sinks' interests: an emitter holding the
+  /// hub may skip a kind no sink takes (see wants()).
+  [[nodiscard]] std::uint32_t interests() const override { return mask_; }
   /// Sinks that receive events of kind `k`.
   [[nodiscard]] std::size_t num_sinks(EventKind k) const {
     return of(k).size();
@@ -159,6 +171,7 @@ class EventHub final : public EventSink {
 
   std::vector<EventSink*> sinks_;
   std::array<std::vector<EventSink*>, kNumEventKinds> by_kind_;
+  std::uint32_t mask_ = 0;
 };
 
 }  // namespace annoc::obs

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "check/conservation.hpp"
 #include "check/latency_bound.hpp"
@@ -224,6 +225,21 @@ TEST(HubSubscription, SinksReceiveOnlyTheirDeclaredKinds) {
   EXPECT_EQ(all.finished, 1u);
 }
 
+TEST(HubSubscription, HubInterestsAreTheUnionOfItsSinks) {
+  obs::EventHub hub;
+  EXPECT_EQ(hub.interests(), 0u);
+  EXPECT_EQ(obs::wants(&hub, EventKind::kStall), nullptr);
+  KindCounter stalls(obs::event_bit(EventKind::kStall));
+  KindCounter commands(obs::event_bit(EventKind::kCommand));
+  hub.attach(&stalls);
+  hub.attach(&commands);
+  EXPECT_EQ(hub.interests(), obs::event_bit(EventKind::kStall) |
+                                 obs::event_bit(EventKind::kCommand));
+  EXPECT_EQ(obs::wants(&hub, EventKind::kStall), &hub);
+  EXPECT_EQ(obs::wants(&hub, EventKind::kGssAging), nullptr);
+  EXPECT_EQ(obs::wants(nullptr, EventKind::kStall), nullptr);
+}
+
 TEST(HubSubscription, CheckersSubscribeExactlyToTheKindsTheyCheck) {
   sdram::DeviceConfig dc;
   dc.geometry = sdram::default_geometry(dc.generation);
@@ -291,6 +307,48 @@ TEST(HubSubscription, DefaultInterestUserSinkSeesEveryEventBesideTheCheckers) {
   EXPECT_GT(user.seen[static_cast<std::size_t>(EventKind::kCommand)], 0u);
   EXPECT_EQ(user.finished, 1u);
   expect_metrics_identical(plain, with_counters, "user sink vs counters");
+}
+
+/// Tallies stall events per router; takes nothing else.
+class StallsPerRouter final : public obs::EventSink {
+ public:
+  std::uint32_t interests() const override {
+    return obs::event_bit(EventKind::kStall);
+  }
+  void on_stall(const obs::StallEvent& e) override {
+    if (e.router >= per_router.size()) per_router.resize(e.router + 1);
+    ++per_router[e.router];
+  }
+  std::vector<std::uint64_t> per_router;
+};
+
+TEST(HubSubscription, StallSinkAttachedAfterConstructionSeesEveryStall) {
+  // Routers cache which kinds the hub's sinks take when the observer is
+  // set. A stall-only sink attached after construction must refresh
+  // that cache: it sees every stall, and blocked routers stop sleeping
+  // through stalls it would miss (DESIGN.md "Router sleep").
+  SystemConfig counted = saturated_4x4();
+  counted.observe = ObserveLevel::kCounters;
+  counted.sched = SchedMode::kDense;
+  const Metrics reference = Simulator(counted).run();
+  ASSERT_TRUE(reference.obs_valid);
+  const Metrics off = Simulator(saturated_4x4()).run();
+  for (const SchedMode mode :
+       {SchedMode::kDense, SchedMode::kFastForward, SchedMode::kEvent}) {
+    SystemConfig cfg = saturated_4x4();
+    cfg.sched = mode;
+    Simulator sim(cfg);
+    StallsPerRouter sink;
+    sim.attach_sink(&sink);
+    const Metrics m = sim.run();
+    sink.per_router.resize(reference.obs.routers.size());
+    for (std::size_t r = 0; r < reference.obs.routers.size(); ++r) {
+      EXPECT_EQ(sink.per_router[r], reference.obs.routers[r].total_stalls())
+          << to_string(mode) << ", router " << r;
+    }
+    expect_metrics_identical(off, m, std::string("stall sink, ") +
+                                         to_string(mode));
+  }
 }
 
 TEST(HubSubscription, MetricsIdenticalWithCountersAndWithPerfetto) {

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <optional>
+#include <string>
 
 #include "noc/network.hpp"
 #include "noc/router.hpp"
@@ -577,6 +578,315 @@ TEST(RefusalReplay, SlowRouterGateIsHonoured) {
   ASSERT_EQ(st.size(), 7u);
   for (std::size_t i = 0; i < st.size(); ++i) EXPECT_EQ(st[i].at, 20 + 3 * i);
   EXPECT_EQ(net.router(1).stats().arbitration_rounds, rounds + 7);
+}
+
+// Router sleep (DESIGN.md "Router sleep"): with sleep on, tick() skips
+// a router until its wake cycle and counts the memoised replays it
+// skipped lazily. Each test runs one fabric twice, ticking every router
+// in one copy and letting routers sleep in the other, and requires the
+// same RouterStats wherever the lazy counts are due.
+
+/// The same fabric twice; every operation goes to both copies.
+struct Twin {
+  Twin(const NocConfig& c, FlowControlKind kind)
+      : dense(c, {kind}, {}), asleep(c, {kind}, {}) {
+    dense.attach_sink(&dense_sink);
+    asleep.attach_sink(&asleep_sink);
+    dense_sink.accept_ = false;
+    asleep_sink.accept_ = false;
+    asleep.set_sleep(true);
+  }
+  void accept(bool on) {
+    dense_sink.accept_ = on;
+    asleep_sink.accept_ = on;
+  }
+  void inject(NodeId src, NodeId dst, Cycle t) {
+    const bool a = dense.try_inject(mk(src, dst, 2, id), t);
+    EXPECT_EQ(asleep.try_inject(mk(src, dst, 2, id), t), a) << "cycle " << t;
+    ++id;
+  }
+  void tick(Cycle t) {
+    dense.tick(t);
+    asleep.tick(t);
+  }
+  /// Inject at `src` toward `dst` and tick, every cycle of [from, to).
+  void fill(NodeId src, NodeId dst, Cycle from, Cycle to) {
+    for (Cycle t = from; t < to; ++t) {
+      inject(src, dst, t);
+      tick(t);
+    }
+  }
+  /// Router `r`'s stats in the sleeping copy, as they stand, equal the
+  /// dense copy's.
+  void expect_same(NodeId r, const std::string& where) const {
+    const RouterStats& d = dense.router(r).stats();
+    const RouterStats& a = asleep.router(r).stats();
+    EXPECT_EQ(a.arbitration_rounds, d.arbitration_rounds)
+        << where << ", router " << r;
+    EXPECT_EQ(a.blocked_on_downstream, d.blocked_on_downstream)
+        << where << ", router " << r;
+    EXPECT_EQ(a.packets_forwarded, d.packets_forwarded)
+        << where << ", router " << r;
+  }
+  void expect_all_same(const std::string& where) const {
+    for (NodeId r = 0; r < dense.num_routers(); ++r) expect_same(r, where);
+  }
+  Network dense, asleep;
+  MemSink dense_sink, asleep_sink;
+  PacketId id = 1;
+};
+
+TEST(RouterSleep, MemoisedRouterIsNotTickedAndSettleCountsItsReplaysOnce) {
+  // 3x1, memory behind node 0 never accepts, traffic from node 2:
+  // nodes 1 and 2 end up refused westward every cycle.
+  Twin tw(line(3, 0, 4), FlowControlKind::kPriorityFirst);
+  tw.fill(2, 0, 0, 30);
+  for (const NodeId r : {NodeId{1}, NodeId{2}}) {
+    ASSERT_TRUE(tw.asleep.router(r).has_refusal_memo(kPortWest));
+    EXPECT_EQ(tw.asleep.wake_of(r), kNeverCycle) << "router " << r;
+  }
+  const RouterStats r1 = tw.asleep.router(1).stats();
+  const RouterStats r2 = tw.asleep.router(2).stats();
+  const std::uint64_t dense_rounds =
+      tw.dense.router(1).stats().arbitration_rounds;
+  tw.fill(2, 0, 30, 60);
+  // Not ticked: a tick would have counted its replay on the spot.
+  EXPECT_EQ(tw.asleep.router(1).stats().arbitration_rounds,
+            r1.arbitration_rounds);
+  EXPECT_EQ(tw.asleep.router(2).stats().arbitration_rounds,
+            r2.arbitration_rounds);
+  EXPECT_EQ(tw.dense.router(1).stats().arbitration_rounds,
+            dense_rounds + 30);
+  // The memory node keeps being refused by its sink: never asleep.
+  EXPECT_EQ(tw.asleep.wake_of(0), 60u);
+  tw.expect_same(0, "awake");
+  tw.asleep.settle();
+  tw.expect_all_same("settled");
+  tw.asleep.settle();
+  tw.expect_all_same("settled twice");
+  tw.fill(2, 0, 60, 70);
+  tw.asleep.settle();
+  tw.expect_all_same("settled again");
+}
+
+TEST(RouterSleep, ArrivalSettlesExactCountsFromAHigherSender) {
+  // Memory at node 0; node 1 is blocked westward and asleep. Node 2's
+  // packet reaches node 1 at cycle 41, after node 1's turn: node 1's
+  // replay at 41 still counts, its fresh round comes at 42.
+  Twin tw(line(3, 0, 4), FlowControlKind::kPriorityFirst);
+  tw.fill(1, 0, 0, 40);
+  ASSERT_TRUE(tw.asleep.router(1).has_refusal_memo(kPortWest));
+  tw.inject(2, 0, 40);
+  tw.tick(40);
+  EXPECT_LT(tw.asleep.router(1).stats().arbitration_rounds,
+            tw.dense.router(1).stats().arbitration_rounds)
+      << "router 1 should be asleep before the arrival";
+  tw.tick(41);
+  EXPECT_EQ(tw.asleep.router(2).output(kPortWest).start, 41u);
+  EXPECT_FALSE(tw.asleep.router(1).has_refusal_memo(kPortWest));
+  EXPECT_EQ(tw.asleep.wake_of(1), 41u);
+  tw.expect_same(1, "arrival from a higher id");
+  tw.tick(42);
+  EXPECT_TRUE(tw.asleep.router(1).has_refusal_memo(kPortWest));
+  tw.expect_same(1, "fresh round after the arrival");
+  tw.asleep.settle();
+  tw.expect_all_same("settled");
+}
+
+TEST(RouterSleep, ArrivalSettlesExactCountsFromALowerSender) {
+  // Memory at node 2; node 1 is blocked eastward and asleep. Node 0's
+  // packet reaches node 1 at cycle 41, before node 1's turn: the
+  // arrival's fresh round replaces the replay at 41.
+  Twin tw(line(3, 2, 4), FlowControlKind::kPriorityFirst);
+  tw.fill(1, 2, 0, 40);
+  ASSERT_TRUE(tw.asleep.router(1).has_refusal_memo(kPortEast));
+  tw.inject(0, 2, 40);
+  tw.tick(40);
+  EXPECT_LT(tw.asleep.router(1).stats().arbitration_rounds,
+            tw.dense.router(1).stats().arbitration_rounds)
+      << "router 1 should be asleep before the arrival";
+  tw.tick(41);
+  EXPECT_EQ(tw.asleep.router(0).output(kPortEast).start, 41u);
+  // Router 1 ran a fresh round at 41, behind the arrival; with the
+  // newcomer's head eligible from 42 that round is not memoised.
+  EXPECT_FALSE(tw.asleep.router(1).has_refusal_memo(kPortEast));
+  EXPECT_EQ(tw.asleep.wake_of(1), 42u);
+  tw.expect_same(1, "arrival from a lower id");
+  tw.tick(42);
+  EXPECT_TRUE(tw.asleep.router(1).has_refusal_memo(kPortEast));
+  tw.expect_same(1, "fresh round with the newcomer");
+  tw.asleep.settle();
+  tw.expect_all_same("settled");
+}
+
+TEST(RouterSleep, DownstreamPopWakesTheUpstreamRouter) {
+  // The popping router ticks BEFORE the sleeping one (memory at node 0,
+  // traffic from node 1): woken and granted in the same cycle.
+  {
+    Twin tw(line(2, 0, 8), FlowControlKind::kPriorityFirst);
+    tw.fill(1, 0, 0, 40);
+    ASSERT_TRUE(tw.asleep.router(1).has_refusal_memo(kPortWest));
+    ASSERT_GT(tw.asleep.wake_of(1), 40u);
+    tw.accept(true);
+    tw.tick(40);
+    const Transfer& tr = tw.asleep.router(1).output(kPortWest);
+    EXPECT_TRUE(tr.active);
+    EXPECT_EQ(tr.start, 40u);
+    tw.expect_all_same("same-cycle wake");
+  }
+  // ... and AFTER it (memory at node 1, traffic from node 0): woken for
+  // the next cycle, where a fresh find_vc() sees the space.
+  {
+    Twin tw(line(2, 1, 8), FlowControlKind::kPriorityFirst);
+    tw.fill(0, 1, 0, 40);
+    ASSERT_TRUE(tw.asleep.router(0).has_refusal_memo(kPortEast));
+    ASSERT_GT(tw.asleep.wake_of(0), 40u);
+    tw.accept(true);
+    tw.tick(40);
+    EXPECT_FALSE(tw.asleep.router(0).output(kPortEast).active);
+    EXPECT_EQ(tw.asleep.wake_of(0), 40u);
+    tw.tick(41);
+    const Transfer& tr = tw.asleep.router(0).output(kPortEast);
+    EXPECT_TRUE(tr.active);
+    EXPECT_EQ(tr.start, 41u);
+    tw.expect_all_same("next-cycle wake");
+  }
+}
+
+TEST(RouterSleep, DeadLinkEdgeSettlesAndWakesEveryRouter) {
+  // 2x2 as in RefusalReplay.DeadLinkRerouteDropsAllMemos: nodes 2 and 3
+  // are blocked and asleep when the (2, 3) link dies.
+  NocConfig c = cfg3x3();
+  c.width = 2;
+  c.height = 2;
+  c.buffer_flits = 4;
+  Twin tw(c, FlowControlKind::kPriorityFirst);
+  for (Cycle t = 0; t < 40; ++t) {
+    tw.inject(3, 0, t);
+    tw.inject(2, 0, t);
+    tw.tick(t);
+  }
+  ASSERT_TRUE(tw.asleep.router(3).has_refusal_memo(kPortWest));
+  ASSERT_TRUE(tw.asleep.router(2).has_refusal_memo(kPortNorth));
+  ASSERT_GT(tw.asleep.wake_of(3), 40u);
+  tw.dense.set_link_dead(2, 3, true);
+  tw.asleep.set_link_dead(2, 3, true);
+  tw.expect_all_same("dead-link edge");
+  for (NodeId r = 0; r < 4; ++r) EXPECT_LE(tw.asleep.wake_of(r), 40u);
+  tw.tick(40);
+  EXPECT_TRUE(tw.asleep.router(3).output(kPortNorth).active);
+  for (Cycle t = 41; t < 60; ++t) tw.tick(t);
+  tw.asleep.settle();
+  tw.expect_all_same("after the edge");
+}
+
+TEST(RouterSleep, SlowRouterEdgeSettlesWakesAndKeepsTheRouterAwake) {
+  Twin tw(line(3, 0, 4), FlowControlKind::kPriorityFirst);
+  tw.fill(2, 0, 0, 20);
+  ASSERT_GT(tw.asleep.wake_of(1), 20u);
+  tw.dense.set_router_slow(1, 3, 20);
+  tw.asleep.set_router_slow(1, 3, 20);
+  tw.expect_all_same("slow-router edge");
+  for (NodeId r = 0; r < 3; ++r) EXPECT_LE(tw.asleep.wake_of(r), 20u);
+  for (Cycle t = 20; t < 40; ++t) {
+    tw.tick(t);
+    // A slow router replays only on its arbitration cycles, so it is
+    // ticked every cycle instead of sleeping.
+    EXPECT_EQ(tw.asleep.wake_of(1), t + 1);
+    tw.expect_same(1, "slow, cycle " + std::to_string(t));
+  }
+  tw.dense.set_router_slow(1, 0, 40);
+  tw.asleep.set_router_slow(1, 0, 40);
+  tw.fill(2, 0, 40, 60);
+  EXPECT_GT(tw.asleep.wake_of(1), 60u) << "full speed again: may sleep";
+  tw.asleep.settle();
+  tw.expect_all_same("after the edges");
+}
+
+TEST(RouterSleep, GrantDroppingAnEarlierOutputsMemoWakesNextCycle) {
+  // Memories at both ends of a 3x1 line, pipeline 3. Node 1 holds an
+  // eastward memo for node 0's traffic. Its local buffer then takes P1
+  // (west) and, behind it, P2 (east). At 33 the west grant of P1 makes
+  // P2 a head routed east and drops the east memo, which tick_router
+  // already replayed that cycle (east comes before west). East needs a
+  // fresh round at 34 although P2 itself only turns eligible at 35.
+  NocConfig c = line(3, 0, 4);
+  c.mem_nodes = {0, 2};
+  c.pipeline_latency = 3;
+  Twin tw(c, FlowControlKind::kPriorityFirst);
+  tw.fill(0, 2, 0, 30);
+  ASSERT_TRUE(tw.asleep.router(1).has_refusal_memo(kPortEast));
+  // Node 0's memory lets P1 through; node 2's still refuses.
+  MemSink open_dense, open_asleep;
+  tw.dense.attach_sink(0, &open_dense);
+  tw.asleep.attach_sink(0, &open_asleep);
+  tw.inject(1, 0, 30);
+  for (Cycle t = 30; t < 40; ++t) {
+    if (t == 32) tw.inject(1, 2, t);
+    tw.tick(t);
+    if (t == 33) {
+      ASSERT_TRUE(tw.asleep.router(1).output(kPortWest).active);
+      EXPECT_FALSE(tw.asleep.router(1).has_refusal_memo(kPortEast));
+      EXPECT_EQ(tw.asleep.wake_of(1), 34u);
+    }
+  }
+  tw.asleep.settle();
+  tw.expect_all_same("settled");
+}
+
+TEST(RouterSleep, FastForwardOverASlowRoutersClosedCyclesCountsNoReplay) {
+  // A degraded 1->0 link holds node 1's west channel for 200 cycles;
+  // node 2, blocked behind it, holds a westward memo and is slowed to
+  // period 3. Nothing else moves, so a fast-forward run executes only
+  // node 2's arbitration cycles (Network::next_event rounds a slow
+  // router up to them). The jumped cycles replay nothing: dense
+  // stepping reaches them and finds the gate closed.
+  Twin tw(line(4, 0, 4), FlowControlKind::kPriorityFirst);
+  tw.accept(true);
+  tw.dense.set_link_penalty(0, 1, 200);
+  tw.asleep.set_link_penalty(0, 1, 200);
+  tw.fill(2, 0, 0, 20);
+  ASSERT_TRUE(tw.asleep.router(2).has_refusal_memo(kPortWest));
+  tw.dense.set_router_slow(2, 3, 20);
+  tw.asleep.set_router_slow(2, 3, 20);
+  for (Cycle t = 20; t < 50; ++t) {
+    tw.dense.tick(t);
+    if ((t - 20) % 3 == 0) tw.asleep.tick(t);
+    tw.expect_same(2, "cycle " + std::to_string(t));
+  }
+  tw.asleep.settle();
+  tw.expect_all_same("settled");
+}
+
+TEST(RouterSleep, StallSinkKeepsThePerCycleStallStream) {
+  Twin tw(line(2, 0, 4), FlowControlKind::kPriorityFirst);
+  tw.fill(1, 0, 0, 20);
+  ASSERT_GT(tw.asleep.wake_of(1), 20u);
+  // Attaching a stall listener settles and wakes every router; from
+  // then on a memoised router replays on its own cycle again.
+  StallLog log;
+  tw.asleep.set_observer(&log);
+  tw.expect_all_same("observer attached");
+  for (NodeId r = 0; r < 2; ++r) EXPECT_LE(tw.asleep.wake_of(r), 20u);
+  for (Cycle t = 20; t < 40; ++t) {
+    tw.tick(t);
+    EXPECT_EQ(tw.asleep.wake_of(1), t + 1);
+  }
+  const std::vector<obs::StallEvent> st = log.of(1, kPortWest);
+  ASSERT_EQ(st.size(), 20u);
+  for (std::size_t i = 0; i < st.size(); ++i) EXPECT_EQ(st[i].at, 20 + i);
+  tw.expect_all_same("stalls observed");
+  // A listener for other kinds only lets the router sleep.
+  struct ArbitrationOnly final : obs::EventSink {
+    [[nodiscard]] std::uint32_t interests() const override {
+      return obs::event_bit(obs::EventKind::kArbitration);
+    }
+  } arb;
+  tw.asleep.set_observer(&arb);
+  tw.fill(1, 0, 40, 50);
+  EXPECT_GT(tw.asleep.wake_of(1), 50u);
+  tw.asleep.settle();
+  tw.expect_all_same("stalls unobserved");
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 /// accelerates and for those it leaves alone. The figures below were
 /// recorded with the straightforward per-cycle arbitration (scan,
 /// select, find_vc every cycle); a mismatch prints the new values in
-/// pasteable form.
+/// pasteable form. The router counts must come out the same with no
+/// stall listener attached, where the skipping schedulers put blocked
+/// routers to sleep and count their replays lazily (DESIGN.md "Router
+/// sleep"), and under the horizon audit, which checks every wake cycle.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -53,8 +56,11 @@ std::string pasteable(const WorkCounts& w) {
 }
 
 /// Run `cfg` with counters on; returns its work counts and Metrics.
-WorkCounts measure(SystemConfig cfg, Metrics* out = nullptr) {
-  cfg.observe = ObserveLevel::kCounters;
+/// With `counters` false the run is left unobserved and the stall
+/// fields stay zero.
+WorkCounts measure(SystemConfig cfg, Metrics* out = nullptr,
+                   bool counters = true) {
+  if (counters) cfg.observe = ObserveLevel::kCounters;
   Simulator sim(cfg);
   const Metrics m = sim.run();
   WorkCounts w;
@@ -69,6 +75,8 @@ WorkCounts measure(SystemConfig cfg, Metrics* out = nullptr) {
             s.packets_forwarded);
   }
   w.router_digest = h;
+  if (out != nullptr) *out = m;
+  if (!counters) return w;
   EXPECT_TRUE(m.obs_valid);
   std::uint64_t sh = 14695981039346656037ull;
   for (const obs::RouterCounters& rc : m.obs.routers) {
@@ -78,7 +86,6 @@ WorkCounts measure(SystemConfig cfg, Metrics* out = nullptr) {
     }
   }
   w.stall_digest = sh;
-  if (out != nullptr) *out = m;
   return w;
 }
 
@@ -114,6 +121,32 @@ void expect_pinned(const SystemConfig& cfg, const WorkCounts& pinned,
   EXPECT_TRUE(got_ev == got) << tag << ": sched=event differs; "
                              << pasteable(got_ev);
   expect_metrics_identical(plain, evm, tag + "/event");
+
+  // Unobserved: nothing listens for stalls, so under fast_forward and
+  // event blocked routers sleep and their replays are counted lazily.
+  // The router counts must not notice, and the audited run checks each
+  // router's wake cycle every cycle on top.
+  WorkCounts router_only = pinned;
+  router_only.stalls = {};
+  router_only.stall_digest = 0;
+  const auto leg = [&](const SystemConfig& c, const std::string& name) {
+    Metrics m;
+    const WorkCounts w = measure(c, &m, /*counters=*/false);
+    EXPECT_TRUE(w == router_only)
+        << tag << "/" << name << ": router counts moved; now " << pasteable(w);
+    expect_metrics_identical(plain, m, tag + "/" + name);
+  };
+  for (const SchedMode mode :
+       {SchedMode::kDense, SchedMode::kFastForward, SchedMode::kEvent}) {
+    SystemConfig c = cfg;
+    c.observe = ObserveLevel::kOff;
+    c.sched = mode;
+    leg(c, std::string("observe=off/") + to_string(mode));
+  }
+  SystemConfig audited = cfg;
+  audited.observe = ObserveLevel::kOff;
+  audited.audit_horizons = true;
+  leg(audited, "observe=off/audited");
 }
 
 TEST(WorkCounts, GssSagmOn4x4) {
@@ -184,6 +217,36 @@ TEST(WorkCounts, GssSagmUnderNocFaults) {
                 {284922u, 259278u, 25644u, 1263698245162321513ull,
                  {0u, 254629u, 4649u}, 2429762210407577501ull},
                 "gss+sagm/4x4/faults");
+}
+
+TEST(WorkCounts, UndrainedRunSettlesSleepingRouters) {
+  // No drain: the run stops with the fabric saturated, routers asleep
+  // on their memos and replays still uncounted. Simulator::run must
+  // settle them, so every scheduler reports the dense counts.
+  SystemConfig cfg = saturated(DesignPoint::kGssSagm);
+  cfg.mesh_preset = "4x4";
+  cfg.drain_cycle_limit = 0;
+  const auto counts = [&](SchedMode mode, std::uint32_t* memos) {
+    SystemConfig c = cfg;
+    c.sched = mode;
+    Simulator sim(c);
+    (void)sim.run();
+    std::uint64_t h = 14695981039346656037ull;
+    *memos = 0;
+    for (NodeId id = 0; id < sim.network().num_routers(); ++id) {
+      const noc::Router& r = sim.network().router(id);
+      h = mix(mix(mix(h, r.stats().arbitration_rounds),
+                  r.stats().blocked_on_downstream),
+              r.stats().packets_forwarded);
+      *memos += r.num_refusal_memos();
+    }
+    return h;
+  };
+  std::uint32_t memos = 0;
+  const std::uint64_t dense = counts(SchedMode::kDense, &memos);
+  ASSERT_GT(memos, 0u) << "the run should end with refusals memoised";
+  EXPECT_EQ(counts(SchedMode::kFastForward, &memos), dense);
+  EXPECT_EQ(counts(SchedMode::kEvent, &memos), dense);
 }
 
 }  // namespace
